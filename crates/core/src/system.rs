@@ -104,6 +104,8 @@ pub struct DecisionRecord {
     pub retracted: bool,
     /// The decision instance proposition.
     pub prop: PropId,
+    /// Structural signature for RECALL, fixed at execution.
+    pub(crate) signature: crate::recall::Signature,
 }
 
 /// Summary returned by a successful execution.
@@ -935,7 +937,7 @@ impl Gkbms {
 
         let tick = self.kb.tick();
         let seq = self.next_seq();
-        self.records.push(DecisionRecord {
+        let mut record = DecisionRecord {
             name: req.name.clone(),
             class: dc.name.clone(),
             performer: req.performer.clone(),
@@ -948,7 +950,10 @@ impl Gkbms {
             seq,
             retracted: false,
             prop: decision,
-        });
+            signature: Default::default(),
+        };
+        record.signature = crate::recall::Signature::of(&record, &dc.dimension);
+        self.records.push(record);
         let payload = crate::persist::encode_execute(self.records.last().unwrap());
         self.journal_append(payload)?;
         self.graph_cache = None;

@@ -18,14 +18,18 @@
 //! from the model iff `w >= as_of`; an earlier watermark must fall
 //! back to evaluating the view's program over its pinned snapshot
 //! ([`RegisteredView::eval_pinned`]), so a pinned session never
-//! observes a refresh from a newer tick.
+//! observes a refresh from a newer tick. That evaluation runs only the
+//! rules the asked predicate depends on, over only the EDB relations
+//! they read ([`PinnedQuery`]).
 
 use crate::error::{GkbmsError, GkbmsResult};
 use crate::system::Gkbms;
 use datalog::ast::{Program, Value};
+use datalog::db::Database;
 use datalog::ivm::{Fact, MaterializedView};
 use objectbase::consistency::{self, CheckStats, Violation};
 use objectbase::query::{self, preds};
+use std::collections::HashSet;
 use telos::{PropId, PropStore};
 
 /// One registered materialized view.
@@ -69,23 +73,123 @@ impl RegisteredView {
         out
     }
 
-    /// Evaluates this view's program from scratch over `store` as
-    /// believed at tick `at` — the fallback for readers pinned before
-    /// the model's `as_of` watermark. Answers are sorted like
-    /// [`RegisteredView::tuples`].
+    /// Evaluates this view's program over `store` as believed at tick
+    /// `at` — the fallback for readers pinned before the model's
+    /// `as_of` watermark. Answers are sorted like
+    /// [`RegisteredView::tuples`]. Only the rules `pred` depends on run
+    /// (see [`PinnedQuery`]).
     pub fn eval_pinned<S: PropStore>(
         &self,
         store: &S,
         at: i64,
         pred: &str,
     ) -> GkbmsResult<Vec<Vec<Value>>> {
-        let edb = query::to_edb_at_store(store, at)?;
-        let (model, _) = datalog::seminaive::evaluate(self.view.program(), &edb)
-            .map_err(objectbase::ObError::from)?;
-        let mut out: Vec<Vec<Value>> = model.tuples(pred).collect();
+        self.pinned_query(pred).eval(store, at)
+    }
+
+    /// What a pinned read of `pred` needs from this view, owned, so a
+    /// caller can release its hold on the view before evaluating.
+    pub fn pinned_query(&self, pred: &str) -> PinnedQuery {
+        PinnedQuery::new(self.view.program(), pred)
+    }
+}
+
+/// A pinned view read, detached from the view: the rules the asked
+/// predicate depends on (its slice of the program) and the EDB
+/// relations that slice reads. Evaluating it over a store at tick `at`
+/// gives exactly the `pred` tuples a from-scratch evaluation of the
+/// whole program over [`query::to_edb_at_store`] would, without
+/// deriving or exporting anything `pred` does not depend on.
+#[derive(Debug, Clone)]
+pub struct PinnedQuery {
+    pred: String,
+    program: Program,
+}
+
+impl PinnedQuery {
+    /// Slices `program` down to the rules `pred` depends on, through
+    /// positive and negated body literals alike.
+    fn new(program: &Program, pred: &str) -> Self {
+        let mut needed = HashSet::from([pred]);
+        let mut stack = vec![pred];
+        while let Some(p) = stack.pop() {
+            for rule in program.rules.iter().filter(|r| r.head.pred == p) {
+                for lit in &rule.body {
+                    if needed.insert(lit.atom.pred.as_str()) {
+                        stack.push(lit.atom.pred.as_str());
+                    }
+                }
+            }
+        }
+        let rules = program
+            .rules
+            .iter()
+            .filter(|r| needed.contains(r.head.pred.as_str()))
+            .cloned()
+            .collect();
+        PinnedQuery {
+            pred: pred.to_string(),
+            program: Program { rules },
+        }
+    }
+
+    /// The sliced program.
+    pub fn program(&self) -> &Program {
+        &self.program
+    }
+
+    /// Evaluates the slice over `store` as believed at tick `at`; the
+    /// `pred` tuples, sorted and deduplicated.
+    pub fn eval<S: PropStore>(&self, store: &S, at: i64) -> GkbmsResult<Vec<Vec<Value>>> {
+        let edb = self.edb(store, at)?;
+        let (model, _) =
+            datalog::seminaive::evaluate(&self.program, &edb).map_err(objectbase::ObError::from)?;
+        let mut out: Vec<Vec<Value>> = model.tuples(&self.pred).collect();
         out.sort();
         out.dedup();
         Ok(out)
+    }
+
+    /// The EDB relations the slice reads. `in_` and `isa` come from
+    /// the label postings of their reserved labels; `attr`, spread over
+    /// every other label, from a scan of the store.
+    fn edb<S: PropStore>(&self, store: &S, at: i64) -> GkbmsResult<Database> {
+        let reads = |p: &str| {
+            self.pred == p
+                || self
+                    .program
+                    .rules
+                    .iter()
+                    .any(|r| r.body.iter().any(|l| l.atom.pred == p))
+        };
+        let mut db = Database::new();
+        let mut add = |id: PropId| -> GkbmsResult<()> {
+            if store.prop(id).is_some_and(|p| p.believed_at(at)) {
+                if let Some((pred, tuple)) = query::edb_fact_for(store, id) {
+                    db.insert(&pred, tuple).map_err(objectbase::ObError::from)?;
+                }
+            }
+            Ok(())
+        };
+        for (pred, label) in [
+            (preds::IN, store.instanceof_sym()),
+            (preds::ISA, store.isa_sym()),
+        ] {
+            if reads(pred) {
+                for &id in store.postings_label(label) {
+                    add(id)?;
+                }
+            }
+        }
+        if reads(preds::ATTR) {
+            for i in 0..store.prop_count() {
+                let id = crate::error::checked_prop_id(i)?;
+                if store.prop(id).is_some_and(|p| !store.is_link_sym(p.label)) {
+                    add(id)?;
+                }
+            }
+        }
+        Ok(db)
     }
 }
 
@@ -559,6 +663,58 @@ mod tests {
             pinned_before,
             "while the live model did move"
         );
+    }
+
+    #[test]
+    fn sliced_pinned_eval_matches_full_evaluation() {
+        let mut g = scenario_gkbms();
+        g.tell_src(
+            "TELL Person end\n\
+             TELL Paper with attribute sender : Person end\n\
+             TELL Invitation isA Paper end\n\
+             TELL maria in Person end\n\
+             TELL inv1 in Invitation with attribute sender : maria end\n\
+             TELL inv2 in Invitation end",
+        )
+        .unwrap();
+        g.register_view(
+            "rich",
+            "hasSender(I) :- attr(I, sender, _S).\n\
+             senderClass(C) :- attr(I, sender, _S), inT(I, C).\n\
+             unsent(X) :- in_(X, _C), not hasSender(X).\n\
+             general(C) :- isaT(_D, C).",
+        )
+        .unwrap();
+        let early = g.kb().now();
+        g.tell_src("TELL Minutes isA Paper end\nTELL min1 in Minutes end")
+            .unwrap();
+        g.untell("inv2").unwrap();
+        let v = g.view("rich").unwrap();
+        let mut preds: Vec<&str> = vec![preds::IN, preds::ISA, preds::ATTR, "noSuchPred"];
+        for rule in &v.view().program().rules {
+            if !preds.contains(&rule.head.pred.as_str()) {
+                preds.push(&rule.head.pred);
+            }
+        }
+        for at in [early, g.kb().now()] {
+            let edb = query::to_edb_at_store(g.kb(), at).unwrap();
+            let (model, _) = datalog::seminaive::evaluate(v.view().program(), &edb).unwrap();
+            for pred in &preds {
+                let mut full: Vec<Vec<Value>> = model.tuples(pred).collect();
+                full.sort();
+                full.dedup();
+                let sliced = v.eval_pinned(g.kb(), at, pred).unwrap();
+                assert_eq!(sliced, full, "{pred} at {at}");
+                if ["hasSender", "unsent", "senderClass", "general"].contains(pred) {
+                    assert!(!full.is_empty(), "{pred} at {at} is vacuous");
+                }
+            }
+        }
+        // The slice holds only what the predicate depends on.
+        assert_eq!(v.pinned_query("isaT").program().rules.len(), 2);
+        assert_eq!(v.pinned_query("hasSender").program().rules.len(), 1);
+        assert_eq!(v.pinned_query("senderClass").program().rules.len(), 5);
+        assert!(v.pinned_query(preds::ATTR).program().rules.is_empty());
     }
 
     #[test]

@@ -7,14 +7,22 @@
 //! inheritance), and [`DeductiveView`] runs user rules on top with a
 //! choice of inference engine — bottom-up, top-down with lemmas, or
 //! magic sets.
+//!
+//! ASK ([`ask_snapshot`] and its `ask_with_stats*` wrappers) answers
+//! the one goal the base program is asked for — `inT(X, class)` with
+//! the class bound — without building that database: it walks the
+//! store's postings from the class down its believed `isa` links and
+//! collects the `instanceof` sources, so its cost follows the answer,
+//! not the KB. Its answers are those of the bridge, name for name.
 
 use crate::error::ObResult;
 use datalog::ast::{Atom, Program, Term, Value};
 use datalog::db::Database;
 use datalog::seminaive::EvalStats;
 use datalog::{magic, seminaive, topdown};
+use std::collections::HashSet;
 use telos::assertion;
-use telos::{Kb, KbRead, KbVersion, PropId, PropStore, TelosError};
+use telos::{Kb, KbRead, KbVersion, PropId, PropStore, Snapshot, TelosError};
 
 /// EDB predicate names exported from the KB.
 pub mod preds {
@@ -34,14 +42,8 @@ pub fn to_edb(kb: &Kb) -> ObResult<Database> {
 }
 
 /// Like [`to_edb`], but exporting the network as believed at tick `at`
-/// — the deductive view of a belief-time snapshot.
-pub fn to_edb_at(kb: &Kb, at: i64) -> ObResult<Database> {
-    to_edb_at_store(kb, at)
-}
-
-/// [`to_edb_at`] over any [`PropStore`] — in particular an immutable
-/// [`KbVersion`], so the server's MVCC read path builds its EDB from a
-/// pinned version without touching the live KB.
+/// — the deductive view of a belief-time snapshot — from any
+/// [`PropStore`]: the live [`Kb`] or an immutable [`KbVersion`].
 pub fn to_edb_at_store<S: PropStore>(store: &S, at: i64) -> ObResult<Database> {
     edb_where(store, |p| p.believed_at(at))
 }
@@ -225,25 +227,23 @@ pub fn ask<V: KbRead>(kb: &V, var: &str, class: &str, body: &str) -> ObResult<Ve
     Ok(hits.into_iter().map(|h| kb.display(h)).collect())
 }
 
-/// ASK through the deductive-relational bridge, reporting the
-/// [`EvalStats`] of the underlying join evaluation (`index_probes`,
-/// `tuples_scanned`, …). Candidate instances of `class` are enumerated
-/// by the semi-naive engine (the `inT` closure), then filtered with
-/// the assertion body — so the stats reflect real index-probe work,
-/// which `cbshell`'s `\stats` command surfaces.
+/// ASK with the deductive counters: the instances of `class` (with
+/// isa inheritance) believed at the current tick that satisfy `body`,
+/// sorted by name. A thin wrapper over [`ask_snapshot`] on
+/// `kb.snapshot()`: candidates are found by a goal-directed walk of
+/// the KB's postings, so the [`EvalStats`] count the posting lists
+/// probed and the postings visited (`cbshell`'s `\stats` shows them).
 pub fn ask_with_stats(
     kb: &Kb,
     var: &str,
     class: &str,
     body: &str,
 ) -> ObResult<(Vec<String>, EvalStats)> {
-    ask_deductive(kb, to_edb(kb)?, var, class, body)
+    ask_snapshot(&kb.snapshot(), var, class, body)
 }
 
-/// [`ask_with_stats`] pinned at belief tick `at`: candidates come from
-/// the snapshot EDB ([`to_edb_at`]) and the assertion body is filtered
-/// against the [`telos::Snapshot`] view, so a server session gets both
-/// snapshot-consistent answers and the deductive counters.
+/// [`ask_with_stats`] pinned at belief tick `at`: [`ask_snapshot`] on
+/// `kb.snapshot_at(at)`.
 pub fn ask_with_stats_at(
     kb: &Kb,
     at: i64,
@@ -251,14 +251,13 @@ pub fn ask_with_stats_at(
     class: &str,
     body: &str,
 ) -> ObResult<(Vec<String>, EvalStats)> {
-    let snap = kb.snapshot_at(at);
-    ask_deductive(&snap, to_edb_at(kb, at)?, var, class, body)
+    ask_snapshot(&kb.snapshot_at(at), var, class, body)
 }
 
 /// [`ask_with_stats_at`] against an immutable [`KbVersion`]: identical
-/// semantics, but the candidate EDB and the assertion filter both read
-/// the pinned version, so the query runs entirely without the writer
-/// lock. This is the server's MVCC ASK path.
+/// semantics, but both the candidate walk and the assertion filter
+/// read the pinned version, so the query runs entirely without the
+/// writer lock. This is the server's MVCC ASK path.
 pub fn ask_with_stats_version(
     version: &KbVersion,
     at: i64,
@@ -266,67 +265,145 @@ pub fn ask_with_stats_version(
     class: &str,
     body: &str,
 ) -> ObResult<(Vec<String>, EvalStats)> {
-    let snap = version.snapshot_at(at);
-    ask_deductive(&snap, to_edb_at_store(version, at)?, var, class, body)
+    ask_snapshot(&version.snapshot_at(at), var, class, body)
 }
 
-fn ask_deductive<V: KbRead>(
-    view: &V,
-    edb: Database,
+/// The one ASK evaluator: the instances of `class` in `snap` that
+/// satisfy `body`, sorted by name, plus the work counters.
+///
+/// Answers are those of the deductive bridge — `inT(X, class)` over
+/// [`to_edb_at_store`] and [`base_program`], then the assertion
+/// filter — but no EDB is built and no closure is run. Like that EDB
+/// the walk is keyed by display name: an `instanceof` or `isa` link
+/// into *any* generation of a class name counts, and a candidate whose
+/// name does not [`Snapshot::lookup`] is dropped. The cost is the
+/// postings of the class, its isa descendants and their instances,
+/// not the size of the KB. `index_probes` counts the posting lists
+/// probed and `tuples_scanned` the postings visited;
+/// `objectbase_ask_seconds` times the whole call.
+pub fn ask_snapshot<S: PropStore>(
+    snap: &Snapshot<'_, S>,
     var: &str,
     class: &str,
     body: &str,
 ) -> ObResult<(Vec<String>, EvalStats)> {
     let start = std::time::Instant::now();
     obs::counter!("objectbase_asks_total", "Deductive ASK queries evaluated").inc();
-    let result = ask_deductive_inner(view, edb, var, class, body);
+    let result = ask_snapshot_inner(snap, var, class, body);
     obs::histogram!(
         "objectbase_ask_seconds",
         "Wall-clock latency of deductive ASK evaluation"
     )
     .observe(start.elapsed());
-    if result.is_err() {
-        obs::counter!(
+    match &result {
+        Ok((_, stats)) => obs::counter!(
+            "objectbase_ask_index_probes_total",
+            "Posting lists probed by ASK candidate walks"
+        )
+        .add(stats.index_probes as u64),
+        Err(_) => obs::counter!(
             "objectbase_ask_errors_total",
             "Deductive ASK queries that failed (parse/eval errors)"
         )
-        .inc();
+        .inc(),
     }
     result
 }
 
-fn ask_deductive_inner<V: KbRead>(
-    view: &V,
-    edb: Database,
+fn ask_snapshot_inner<S: PropStore>(
+    snap: &Snapshot<'_, S>,
     var: &str,
     class: &str,
     body: &str,
 ) -> ObResult<(Vec<String>, EvalStats)> {
     let expr = assertion::parse(body)?;
-    if view.lookup(class).is_none() {
+    if snap.lookup(class).is_none() {
         return Err(TelosError::Assertion(format!("unknown class `{class}`")).into());
     }
-    let program = base_program();
-    let (model, stats) = seminaive::evaluate(&program, &edb)?;
-    let pattern = vec![None, Some(Value::sym(class))];
-    let mut names: Vec<String> = model
-        .probe("inT", &pattern)
-        .map(|t| t[0].to_string())
-        .collect();
-    names.sort();
-    names.dedup();
+    let mut stats = EvalStats::default();
+    let names = instance_names(snap.store(), snap.at(), class, &mut stats);
     let mut out = Vec::new();
     let mut env = assertion::Env::new();
     for name in names {
-        let Some(id) = view.lookup(&name) else {
+        let Some(id) = snap.lookup(&name) else {
             continue;
         };
         env.insert(var.to_string(), id);
-        if assertion::eval(view, &expr, &mut env)? {
+        if assertion::eval(snap, &expr, &mut env)? {
             out.push(name);
         }
     }
     Ok((out, stats))
+}
+
+/// The names `X` with `inT(X, class)` at tick `at`, sorted and
+/// deduplicated: walks the believed `isa` links down from every
+/// proposition named `class`, name by name, and collects the sources
+/// of the believed `instanceof` links into each class reached.
+fn instance_names<S: PropStore>(
+    store: &S,
+    at: i64,
+    class: &str,
+    stats: &mut EvalStats,
+) -> Vec<String> {
+    let (isa, instanceof) = (store.isa_sym(), store.instanceof_sym());
+    let mut classes = HashSet::from([class.to_string()]);
+    let mut queue = vec![class.to_string()];
+    let mut names = Vec::new();
+    while let Some(name) = queue.pop() {
+        for node in nodes_named(store, &name, stats) {
+            stats.index_probes += 1;
+            for &p in store.postings_to(node) {
+                stats.tuples_scanned += 1;
+                let Some(link) = store.prop(p) else { continue };
+                if link.is_individual() || !link.believed_at(at) {
+                    continue;
+                }
+                if link.label == isa {
+                    let child = store.display_prop(link.source);
+                    if classes.insert(child.clone()) {
+                        queue.push(child);
+                    }
+                } else if link.label == instanceof {
+                    stats.derivations += 1;
+                    names.push(store.display_prop(link.source));
+                }
+            }
+        }
+    }
+    names.sort();
+    names.dedup();
+    stats.new_facts = names.len();
+    names
+}
+
+/// Every proposition displayed as `name`, whatever its belief: all
+/// generations of the individual, and — only for names of the
+/// `<src label dst>` form — the links that display that way (found by
+/// a scan, as no index is keyed on a link's display).
+fn nodes_named<S: PropStore>(store: &S, name: &str, stats: &mut EvalStats) -> Vec<PropId> {
+    let mut out = Vec::new();
+    if let Some(sym) = store.lookup_sym(name) {
+        stats.index_probes += 1;
+        let postings = store.postings_label(sym);
+        stats.tuples_scanned += postings.len();
+        out.extend(
+            postings
+                .iter()
+                .copied()
+                .filter(|&p| store.prop(p).is_some_and(|prop| prop.is_individual())),
+        );
+    }
+    if name.starts_with('<') {
+        for i in 0..store.prop_count() {
+            let id = PropId(i as u32);
+            if store.prop(id).is_some_and(|p| !p.is_individual()) && store.display_prop(id) == name
+            {
+                out.push(id);
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -452,7 +529,7 @@ mod tests {
         let frames = ObjectFrame::parse_all("TELL inv3 in Invitation end").unwrap();
         tell_all(&mut kb, &frames).unwrap();
         let now_db = to_edb(&kb).unwrap();
-        let then_db = to_edb_at(&kb, t).unwrap();
+        let then_db = to_edb_at_store(&kb, t).unwrap();
         let at_inv3 = [Value::sym("inv3"), Value::sym("Invitation")];
         assert!(now_db.contains(preds::IN, &at_inv3));
         assert!(!then_db.contains(preds::IN, &at_inv3));
@@ -505,6 +582,34 @@ mod tests {
         let (with_sender, _) =
             ask_with_stats_version(&version, t, "i", "Invitation", "i.sender defined").unwrap();
         assert_eq!(with_sender, vec!["inv1"]);
+    }
+
+    #[test]
+    fn ask_timer_covers_candidate_enumeration() {
+        // A class with many instances, so finding the candidates is
+        // most of the ASK; the timer must include it.
+        let mut kb = Kb::new();
+        let big = kb.individual("Big").unwrap();
+        for i in 0..20_000 {
+            let x = kb.individual(&format!("o{i}")).unwrap();
+            kb.instantiate(x, big).unwrap();
+        }
+        let timer = obs::histogram!(
+            "objectbase_ask_seconds",
+            "Wall-clock latency of deductive ASK evaluation"
+        );
+        let before = timer.sum_micros();
+        let started = std::time::Instant::now();
+        let (hits, stats) = ask_with_stats(&kb, "x", "Big", "true").unwrap();
+        let outer = started.elapsed().as_micros() as f64;
+        assert_eq!(hits.len(), 20_000);
+        assert!(stats.tuples_scanned >= 20_000, "{stats:?}");
+        // Concurrent tests may add to the sum, never take from it.
+        let timed = (timer.sum_micros() - before) as f64;
+        assert!(
+            timed >= 0.9 * outer,
+            "objectbase_ask_seconds saw {timed} us of a {outer} us ASK"
+        );
     }
 
     #[test]

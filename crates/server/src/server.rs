@@ -6,12 +6,12 @@
 //! of one [`RwLock`]; session reads (ASK, HOLDS, session stats) do
 //! **not** take that lock at all. Every acknowledged mutation
 //! publishes an immutable [`telos::KbVersion`] — a structural-sharing
-//! capture, O(touched chunks) — into a [`gkbms::mvcc::VersionChain`]
-//! while still holding the write guard, so versions appear in commit
-//! order. A session pins the chain head at Hello (or Refresh) and
-//! serves every read from its pinned version at its watermark:
-//! lock-free with respect to writers, and stable no matter how many
-//! commits land meanwhile.
+//! capture that still clones the index spines, O(KB) keys — into a
+//! [`gkbms::mvcc::VersionChain`] while still holding the write guard,
+//! so versions appear in commit order. A session pins the chain head
+//! at Hello (or Refresh) and serves every read from its pinned version
+//! at its watermark: lock-free with respect to writers, and stable no
+//! matter how many commits land meanwhile.
 //!
 //! Belief time supplies the isolation *semantics*: every write path
 //! calls [`Gkbms::begin_write`] — a belief-clock tick — before
@@ -816,6 +816,24 @@ fn lock_sessions(shared: &Shared) -> std::sync::MutexGuard<'_, SessionTable<Sess
     shared.sessions.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// A VIEWASK answer: one space-joined line per row.
+fn view_rows(result: gkbms::GkbmsResult<Vec<Vec<datalog::ast::Value>>>) -> Response {
+    match result {
+        Ok(tuples) => names(
+            tuples
+                .into_iter()
+                .map(|t| {
+                    t.iter()
+                        .map(|v| v.to_string())
+                        .collect::<Vec<_>>()
+                        .join(" ")
+                })
+                .collect(),
+        ),
+        Err(e) => err(ErrorCode::Rejected, e.to_string()),
+    }
+}
+
 fn read_state(shared: &Shared) -> std::sync::RwLockReadGuard<'_, Gkbms> {
     shared.state.read().unwrap_or_else(|e| e.into_inner())
 }
@@ -846,10 +864,12 @@ fn durable_commit(
 ) -> Result<(), Response> {
     if mutated {
         // Publish while still holding the write guard, so versions
-        // enter the chain in commit order (capture is O(touched
-        // chunks) thanks to structural sharing). This is the commit
-        // point for snapshot readers: sessions opened after this see
-        // the mutation, pinned sessions keep their version.
+        // enter the chain in commit order. Capture shares the
+        // proposition chunks and posting lists but clones the symbol
+        // map and the three index spines, so it is O(KB) keys, not
+        // O(touched chunks). This is the commit point for snapshot
+        // readers: sessions opened after this see the mutation, pinned
+        // sessions keep their version.
         shared.chain.publish(g.kb().version());
     }
     if !mutated || g.journal().is_none() {
@@ -1456,44 +1476,35 @@ fn dispatch_inner(shared: &Shared, req: Request) -> Response {
                 Ok(wv) => wv,
                 Err(resp) => return resp,
             };
-            let g = read_state(shared);
-            let Some(view) = g.view(&name) else {
-                return err(ErrorCode::Rejected, format!("unknown view `{name}`"));
-            };
             // The materialized model reflects the current belief state
             // (`as_of`). A session pinned at or after it may read the
             // model directly; an older watermark re-evaluates the
             // view's program over the session's pinned store version so
-            // it never observes a refresh from a newer tick.
-            let result = if watermark >= view.as_of() {
-                obs::counter!(
-                    "gkbms_view_asks_materialized_total",
-                    "View reads served straight from the maintained model"
-                )
-                .inc();
-                Ok(view.tuples(&pred))
-            } else {
-                obs::counter!(
-                    "gkbms_view_asks_pinned_total",
-                    "View reads re-evaluated at an older pinned watermark"
-                )
-                .inc();
-                view.eval_pinned(version.data(), watermark, &pred)
+            // it never observes a refresh from a newer tick. That
+            // evaluation takes only the program slice it needs and runs
+            // after the state lock is released, so no writer queues
+            // behind it.
+            let query = {
+                let g = read_state(shared);
+                let Some(view) = g.view(&name) else {
+                    return err(ErrorCode::Rejected, format!("unknown view `{name}`"));
+                };
+                if watermark >= view.as_of() {
+                    obs::counter!(
+                        "gkbms_view_asks_materialized_total",
+                        "View reads served straight from the maintained model"
+                    )
+                    .inc();
+                    return view_rows(Ok(view.tuples(&pred)));
+                }
+                view.pinned_query(&pred)
             };
-            match result {
-                Ok(tuples) => names(
-                    tuples
-                        .into_iter()
-                        .map(|t| {
-                            t.iter()
-                                .map(|v| v.to_string())
-                                .collect::<Vec<_>>()
-                                .join(" ")
-                        })
-                        .collect(),
-                ),
-                Err(e) => err(ErrorCode::Rejected, e.to_string()),
-            }
+            obs::counter!(
+                "gkbms_view_asks_pinned_total",
+                "View reads re-evaluated at an older pinned watermark"
+            )
+            .inc();
+            view_rows(query.eval(version.data(), watermark))
         }
         Request::Recall {
             session,

@@ -759,6 +759,12 @@ impl<'a, S: PropStore> Snapshot<'a, S> {
         self.at
     }
 
+    /// The store this snapshot reads, for callers that walk its
+    /// postings directly.
+    pub fn store(&self) -> &'a S {
+        self.store
+    }
+
     /// True if proposition `id` is believed in this snapshot.
     pub fn sees(&self, id: PropId) -> bool {
         self.store.prop(id).is_some_and(|p| p.believed_at(self.at))

@@ -350,11 +350,12 @@ fn metrics_observable_end_to_end() {
     let mut c = Client::connect(addr).unwrap();
     let before = c.metrics().unwrap();
     let base = |s: &str| scrape(&before, s).unwrap_or(0.0);
-    let (tell0, ask0, hist0, read0) = (
+    let (tell0, ask0, hist0, read0, probes0) = (
         base("gkbms_requests_total{op=\"tell\"}"),
         base("gkbms_requests_total{op=\"ask\"}"),
         base("gkbms_request_seconds_count{op=\"ask\"}"),
         base("gkbms_bytes_read_total"),
+        base("objectbase_ask_index_probes_total"),
     );
 
     let (s, _) = c.hello().unwrap();
@@ -381,10 +382,10 @@ fn metrics_observable_end_to_end() {
         now("gkbms_bytes_read_total") > read0,
         "request bytes:\n{after}"
     );
-    // The deductive engine's cumulative counters moved with the ASK.
+    // The ASK's cumulative work counters moved with the ASK.
     assert!(
-        now("datalog_index_probes_total") > 0.0,
-        "datalog probes:\n{after}"
+        now("objectbase_ask_index_probes_total") >= probes0 + 1.0,
+        "ASK probes:\n{after}"
     );
     assert!(
         now("gkbms_sessions_opened_total") >= 1.0,
